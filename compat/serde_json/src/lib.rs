@@ -2,9 +2,11 @@
 //!
 //! Serializes the `serde` shim's [`Value`] tree to JSON text and parses it
 //! back. Covers the workspace's usage: [`to_string`], [`to_string_pretty`],
-//! and [`from_str`]. Floats are written via Rust's shortest-roundtrip
-//! `Display` (the `float_roundtrip` feature is therefore a no-op), with a
-//! trailing `.0` added to integral floats so they re-parse as floats.
+//! [`from_str`], and its two halves, [`parse`] and [`from_value`], for
+//! callers that inspect the tree before decoding it. Floats are written
+//! via Rust's shortest-roundtrip `Display` (the `float_roundtrip` feature
+//! is therefore a no-op), with a trailing `.0` added to integral floats
+//! so they re-parse as floats.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -357,15 +359,27 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses JSON text into any [`Deserialize`] type.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
+/// Parses JSON text into a [`Value`] tree without decoding it further.
+/// Unlike `from_str::<Value>`, which clones the parsed tree, this hands
+/// the tree over as parsed.
+pub fn parse(s: &str) -> Result<Value> {
     let mut p = Parser::new(s);
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters"));
     }
+    Ok(value)
+}
+
+/// Decodes any [`Deserialize`] type from a parsed [`Value`] tree.
+pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
     Ok(T::from_value(&value)?)
+}
+
+/// Parses JSON text into any [`Deserialize`] type.
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
+    from_value(parse(s)?)
 }
 
 #[cfg(test)]

@@ -235,16 +235,33 @@ pub(crate) fn workspace_root() -> std::path::PathBuf {
 /// Writes `contents` to `dir/name`, creating `dir` if needed — the single
 /// write path shared by [`write_artifact`] and the results store
 /// ([`crate::results`]), so every artifact lands the same way.
+///
+/// The write is crash-safe but not durable: the bytes go to a temporary
+/// `.{name}.<pid>-<n>.tmp` in the same directory, which is then renamed
+/// over `name`. A writer killed mid-write therefore leaves at worst a
+/// stray temporary file (which store listings ignore: it does not end in
+/// `.json`), never a truncated file under the final name. Nothing is
+/// fsynced, so after a power loss the file may still be missing or
+/// empty.
 pub(crate) fn write_artifact_to(
     dir: &std::path::Path,
     name: &str,
     contents: &str,
 ) -> Result<std::path::PathBuf> {
+    static NEXT_TEMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     std::fs::create_dir_all(dir)
         .map_err(|e| BenchError::Serialization(format!("mkdir failed: {e}")))?;
     let path = dir.join(name);
-    std::fs::write(&path, contents)
-        .map_err(|e| BenchError::Serialization(format!("write failed: {e}")))?;
+    // Unique per process and per call, so concurrent writers of the same
+    // name never share a temporary file.
+    let n = NEXT_TEMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let temp = dir.join(format!(".{name}.{}-{n}.tmp", std::process::id()));
+    std::fs::write(&temp, contents)
+        .and_then(|()| std::fs::rename(&temp, &path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&temp);
+            BenchError::Serialization(format!("write failed: {e}"))
+        })?;
     Ok(path)
 }
 
@@ -392,6 +409,25 @@ mod tests {
         assert!(j.contains("\"phi\""));
         let back: SpecializationReport = serde_json::from_str(&j).unwrap();
         assert_eq!(back, spec_report());
+    }
+
+    #[test]
+    fn failed_write_leaves_neither_artifact_nor_temporary_file() {
+        let dir = std::env::temp_dir().join(format!("lsbench-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory squatting on the final name makes the rename fail
+        // after the temporary file was written in full.
+        std::fs::create_dir_all(dir.join("a.json").join("occupied")).unwrap();
+        assert!(write_artifact_to(&dir, "a.json", "{}").is_err());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["a.json"]);
+        assert!(dir.join("a.json").is_dir());
+        let path = write_artifact_to(&dir, "b.json", "{}").unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "{}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //!   `.lsbench/results/` with file names derived from a stable hash of the
 //!   manifest, and loading *refuses* unversioned or drifted artifacts
 //!   ([`StoreError::Schema`], [`StoreError::ManifestMismatch`]) instead of
-//!   best-effort parsing.
+//!   best-effort parsing. Each file is parsed once: the version is read
+//!   off the parsed tree, and the same tree is then decoded. The record's
+//!   per-op data is stored as a column block of base64 strings (see
+//!   [`RunRecord`](crate::record::RunRecord)), about 25 bytes per op
+//!   instead of ~150 for an array of JSON objects, and every write goes
+//!   to a temporary file that is renamed into place, so a crashed writer
+//!   never leaves a truncated artifact under a final name.
 //! * [`mod@compare`] — the paired-comparison engine:
 //!   [`compare`](compare::compare) derives the Fig. 1b area difference,
 //!   per-phase Fig. 1a box-stat deltas, baseline-calibrated Fig. 1c SLA
@@ -61,5 +67,8 @@ pub use store::{
 /// `RunManifest` gains the `clock` field (sim vs. wall — part of the
 /// content address, so a wall run never collides with its sim twin) and
 /// `RunArtifact` gains the optional `wall` stats block
-/// ([`WallStats`](crate::runner::WallStats)).
-pub const SCHEMA_VERSION: u32 = 4;
+/// ([`WallStats`](crate::runner::WallStats)); v5 = `RunRecord.ops` is
+/// stored as a compact column block (`count` plus base64 `t_end`,
+/// `latency`, `phase` and `flags` columns) instead of one JSON object per
+/// op. v4 artifacts are refused and must be re-archived.
+pub const SCHEMA_VERSION: u32 = 5;

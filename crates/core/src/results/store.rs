@@ -291,9 +291,7 @@ impl RunArtifact {
     /// Strict decode: checks `schema_version` *before* interpreting the
     /// rest, then revalidates the stored digest against the manifest.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        let artifact: RunArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
+        let artifact: RunArtifact = decode_versioned(text, SCHEMA_VERSION)?;
         let computed = artifact.manifest.digest();
         if computed != artifact.digest {
             return Err(StoreError::ManifestMismatch {
@@ -421,9 +419,7 @@ impl CapacityArtifact {
     /// Strict decode: checks `schema_version` *before* interpreting the
     /// rest, then revalidates the stored digest against the manifest.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        let artifact: CapacityArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
+        let artifact: CapacityArtifact = decode_versioned(text, SCHEMA_VERSION)?;
         let computed = artifact.manifest.digest();
         if computed != artifact.digest {
             return Err(StoreError::ManifestMismatch {
@@ -566,9 +562,7 @@ impl SweepArtifact {
     /// [`SWEEP_SCHEMA_VERSION`] *before* interpreting the rest, then
     /// revalidates the stored digest against the manifest.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version_expecting(text, SWEEP_SCHEMA_VERSION)?;
-        let artifact: SweepArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
+        let artifact: SweepArtifact = decode_versioned(text, SWEEP_SCHEMA_VERSION)?;
         let computed = artifact.manifest.digest();
         if computed != artifact.digest {
             return Err(StoreError::ManifestMismatch {
@@ -602,25 +596,19 @@ impl SuiteArtifact {
 
     /// Strict decode: refuses unversioned or version-drifted suite JSON.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))
+        decode_versioned(text, SCHEMA_VERSION)
     }
 }
 
-/// Reads the `schema_version` field of a JSON object without interpreting
-/// anything else, so version drift is reported as such rather than as a
-/// confusing field-level parse error.
-fn check_schema_version(text: &str) -> Result<(), StoreError> {
-    check_schema_version_expecting(text, SCHEMA_VERSION)
-}
-
-/// [`check_schema_version`], parameterized over the expected version —
-/// artifact families that version independently (sweeps vs. runs) share
-/// the same strict-refusal machinery.
-fn check_schema_version_expecting(text: &str, expected: u32) -> Result<(), StoreError> {
-    let value: serde::Value =
-        serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
-    let entries = value
+/// Strict decode shared by every artifact family: parses `text` once,
+/// refuses a missing or drifted `schema_version` (reported as such rather
+/// than as a confusing field-level parse error), and only then decodes
+/// the same tree. Families that version independently (sweeps vs. runs)
+/// pass their own `expected`.
+fn decode_versioned<T: Deserialize>(text: &str, expected: u32) -> Result<T, StoreError> {
+    let parse_error = |e: serde_json::Error| StoreError::Parse(e.to_string());
+    let tree = serde_json::parse(text).map_err(parse_error)?;
+    let entries = tree
         .as_object()
         .ok_or_else(|| StoreError::Parse("artifact is not a JSON object".to_string()))?;
     let found = match serde::Value::get(entries, "schema_version") {
@@ -632,13 +620,10 @@ fn check_schema_version_expecting(text: &str, expected: u32) -> Result<(), Store
             )))
         }
     };
-    match found {
-        Some(v) if v == expected => Ok(()),
-        other => Err(StoreError::Schema {
-            found: other,
-            expected,
-        }),
+    if found != Some(expected) {
+        return Err(StoreError::Schema { found, expected });
     }
+    serde_json::from_value(tree).map_err(parse_error)
 }
 
 /// Lowercases and maps every non-alphanumeric run to a single `-` so SUT
@@ -1002,6 +987,24 @@ mod tests {
     }
 
     #[test]
+    fn list_ignores_leftover_temporary_files() {
+        let (store, dir) = temp_store("leftover");
+        let artifact = RunArtifact::new(manifest("btree"), tiny_record("btree"));
+        let path = store.save(&artifact).unwrap();
+        let saved: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(saved.len(), 1, "a successful save leaves no temporary file");
+        // What a writer killed mid-write leaves behind: a truncated
+        // temporary file next to the artifact, never under its name.
+        let json = artifact.to_json().unwrap();
+        let leftover = dir.join(format!(".{}.4242-0.tmp", artifact.file_name()));
+        std::fs::write(leftover, &json[..json.len() / 2]).unwrap();
+        let entries = store.list().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].path, path);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn transport_is_recorded_listed_and_content_addressed() {
         let (store, dir) = temp_store("transport");
         let remote = manifest("btree").with_transport(Transport::Remote {
@@ -1028,7 +1031,7 @@ mod tests {
     fn unversioned_artifacts_are_refused() {
         let artifact = RunArtifact::new(manifest("x"), tiny_record("x"));
         let json = artifact.to_json().unwrap();
-        let stripped = json.replacen("\"schema_version\": 4,\n", "", 1);
+        let stripped = json.replacen(&format!("\"schema_version\": {SCHEMA_VERSION},\n"), "", 1);
         assert_ne!(json, stripped, "fixture must actually strip the field");
         match RunArtifact::from_json(&stripped) {
             Err(StoreError::Schema {
@@ -1045,7 +1048,7 @@ mod tests {
     fn version_drift_is_refused() {
         let artifact = RunArtifact::new(manifest("x"), tiny_record("x"));
         let json = artifact.to_json().unwrap().replacen(
-            "\"schema_version\": 4",
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
             "\"schema_version\": 999",
             1,
         );
@@ -1170,20 +1173,20 @@ mod tests {
             SweepArtifact::from_json(&tampered),
             Err(StoreError::ManifestMismatch { .. })
         ));
-        // A run-schema version (4) in a sweep artifact is version drift,
-        // not a pass: the families version independently.
+        // A run-schema version in a sweep artifact is version drift, not
+        // a pass: the families version independently.
         let drifted = artifact.to_json().unwrap().replacen(
             "\"schema_version\": 1",
-            "\"schema_version\": 4",
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
             1,
         );
-        assert!(matches!(
+        assert_eq!(
             SweepArtifact::from_json(&drifted),
             Err(StoreError::Schema {
-                found: Some(4),
+                found: Some(SCHEMA_VERSION),
                 expected: SWEEP_SCHEMA_VERSION,
             })
-        ));
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
