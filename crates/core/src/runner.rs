@@ -265,10 +265,11 @@ pub struct WallStats {
     pub ops: u64,
     /// `ops / elapsed_seconds` (0 when elapsed rounds to zero).
     pub throughput: f64,
-    /// Coordinated-omission-safe per-op wall latency histogram
-    /// (nanoseconds): each op is charged its full dispatch-batch
-    /// duration. Empty for engine-path runs, which report only the
-    /// coarse elapsed/throughput pair.
+    /// Coordinated-omission-safe wall latency histogram (nanoseconds) of
+    /// *batch* latency, one sample per op: every op is charged the whole
+    /// duration of the dispatch batch it ran in, so this bounds an op's
+    /// latency from above rather than measuring it. Empty for engine-path
+    /// runs, which report only the coarse elapsed/throughput pair.
     pub latency: LatencyHistogram,
 }
 
@@ -421,7 +422,7 @@ impl<'a> Runner<'a> {
             }
             (RunnerSut::Factory(factory), ExecutionMode::Serial) => {
                 let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
+                let data = build_dataset(&mut obs, scenario)?;
                 let mut sut = factory(&data)?;
                 obs.spans.exit(span);
                 let span = obs.spans.enter("run");
@@ -433,7 +434,7 @@ impl<'a> Runner<'a> {
             }
             (RunnerSut::Factory(factory), ExecutionMode::SharedLock { .. }) => {
                 let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
+                let data = build_dataset(&mut obs, scenario)?;
                 let mut sut = factory(&data)?;
                 obs.spans.exit(span);
                 let span = obs.spans.enter("run");
@@ -452,7 +453,7 @@ impl<'a> Runner<'a> {
             }
             (RunnerSut::Factory(factory), ExecutionMode::OpenLoop { .. }) => {
                 let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
+                let data = build_dataset(&mut obs, scenario)?;
                 let mut sut = factory(&data)?;
                 obs.spans.exit(span);
                 let span = obs.spans.enter("run");
@@ -471,7 +472,7 @@ impl<'a> Runner<'a> {
             }
             (RunnerSut::Factory(factory), ExecutionMode::Sharded { workers }) => {
                 let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
+                let data = build_dataset(&mut obs, scenario)?;
                 let (router, shards) = shard_dataset(&data, workers)?;
                 let mut suts = shards.iter().map(factory).collect::<Result<Vec<_>>>()?;
                 obs.spans.exit(span);
@@ -513,6 +514,15 @@ impl<'a> Runner<'a> {
             spans: report.spans,
         })
     }
+}
+
+/// Builds the scenario's dataset inside a `dataset` span, so the span tree
+/// shows generation apart from the SUT build that follows it.
+fn build_dataset(obs: &mut RunObserver, scenario: &Scenario) -> Result<Dataset> {
+    let span = obs.spans.enter("dataset");
+    let data = scenario.dataset.build()?;
+    obs.spans.exit(span);
+    Ok(data)
 }
 
 /// Shared serial hold-out pass: runs the one-shot scenario on the same SUT

@@ -1,11 +1,17 @@
-//! Dataset construction, growth, and drift.
+//! Dataset construction and growth.
 //!
 //! A [`Dataset`] is the database the system under test indexes: a sorted set
 //! of unique `u64` keys with associated values. §III-A calls out "changing
 //! data distributions and dataset size" as real-world behaviours benchmarks
-//! miss, so datasets here support *growth batches* (new keys arriving over
-//! time) and *drift* (interpolation between a source and a target
-//! distribution).
+//! miss. Datasets here support *growth batches* (new keys arriving over
+//! time); distribution change is the job of the phased workloads in
+//! [`phases`](crate::phases).
+//!
+//! [`Dataset::generate`] deduplicates its draws in one of two ways, chosen by
+//! the domain's density alone: a bitmap over `[lo, hi)` when it is no larger
+//! than the key vector (`span <= 64·n`), a hash set otherwise. Both accept
+//! exactly the first `min(n, span)` distinct draws, so the choice never
+//! changes a dataset.
 
 use crate::keygen::{KeyDistribution, KeyGenerator};
 use crate::Result;
@@ -19,35 +25,33 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds a dataset of `n` *unique* keys drawn from `dist` over
-    /// `[lo, hi)`. Draws until `n` unique keys are collected (or the domain
-    /// is exhausted), then sorts.
+    /// `[lo, hi)`. Draws until `n` unique keys are collected, the domain is
+    /// exhausted, or `max(50·n, 1000)` draws have been made (heavily skewed
+    /// distributions may not produce `n` unique keys in reasonable time).
     ///
     /// Values are derived from keys (`value = key.wrapping_mul(31)`), which
     /// keeps datasets cheap to verify in tests.
     pub fn generate(dist: KeyDistribution, lo: u64, hi: u64, n: usize, seed: u64) -> Result<Self> {
         let mut gen = KeyGenerator::new(dist, lo, hi, seed)?;
-        let capacity = ((hi - lo) as usize).min(n);
-        let mut set = std::collections::HashSet::with_capacity(capacity);
-        // Bound the rejection loop: heavily skewed distributions may not be
-        // able to produce n unique keys in reasonable time.
-        let max_draws = (n as u64).saturating_mul(50).max(1000);
-        let mut draws = 0u64;
-        while set.len() < capacity && draws < max_draws {
-            set.insert(gen.next_key());
-            draws += 1;
-        }
-        let mut keys: Vec<u64> = set.into_iter().collect();
-        keys.sort_unstable();
+        let keys = if is_dense(hi - lo, n) {
+            dedup_dense(&mut gen, n)
+        } else {
+            dedup_sparse(&mut gen, n)
+        };
+        Ok(Dataset::from_sorted_unique(keys))
+    }
+
+    /// Wraps keys that are already sorted and unique.
+    fn from_sorted_unique(keys: Vec<u64>) -> Self {
         let values = keys.iter().map(|k| k.wrapping_mul(31)).collect();
-        Ok(Dataset { keys, values })
+        Dataset { keys, values }
     }
 
     /// Builds a dataset directly from keys (deduplicated and sorted here).
     pub fn from_keys(mut keys: Vec<u64>) -> Self {
         keys.sort_unstable();
         keys.dedup();
-        let values = keys.iter().map(|k| k.wrapping_mul(31)).collect();
-        Dataset { keys, values }
+        Dataset::from_sorted_unique(keys)
     }
 
     /// Number of records.
@@ -138,52 +142,149 @@ impl Dataset {
         self.values = merged_vals;
         self.keys.len() - before
     }
+}
 
-    /// Generates a *drifted* variant: a mixture of this dataset's
-    /// distribution and a target distribution, with mixing weight
-    /// `drift` in `[0, 1]` (0 = original keys, 1 = fully target).
-    ///
-    /// Used to build scenarios where the database slowly morphs, which
-    /// § III-A notes "classical benchmarks rarely capture".
-    pub fn drift_towards(
-        &self,
-        target: KeyDistribution,
-        lo: u64,
-        hi: u64,
-        drift: f64,
-        seed: u64,
-    ) -> Result<Dataset> {
-        let drift = drift.clamp(0.0, 1.0);
-        let n = self.len();
-        let from_target = (n as f64 * drift) as usize;
-        let from_self = n - from_target;
-        let mut keys: Vec<u64> = self
-            .keys
-            .iter()
-            .copied()
-            .step_by((n / from_self.max(1)).max(1))
-            .take(from_self)
-            .collect();
-        if from_target > 0 {
-            let mut gen = KeyGenerator::new(target, lo, hi, seed)?;
-            let mut seen: std::collections::HashSet<u64> = keys.iter().copied().collect();
-            let mut draws = 0u64;
-            let max_draws = (from_target as u64).saturating_mul(50).max(1000);
-            while seen.len() < from_self + from_target && draws < max_draws {
-                let k = gen.next_key();
-                if seen.insert(k) {
-                    keys.push(k);
-                }
-                draws += 1;
-            }
-        }
-        Ok(Dataset::from_keys(keys))
+/// Whether a bitmap over a domain of `span` keys is no larger than the
+/// `n`-key vector the dataset keeps anyway (`span <= 64·n`).
+fn is_dense(span: u64, n: usize) -> bool {
+    span.div_ceil(64) <= n as u64
+}
+
+/// How many distinct keys to collect, and how many draws to allow, when
+/// drawing `n` keys from `gen`'s domain.
+fn draw_budget(gen: &KeyGenerator, n: usize) -> (u64, u64) {
+    let (lo, hi) = gen.range();
+    let target = (hi - lo).min(n as u64);
+    let max_draws = (n as u64).saturating_mul(50).max(1000);
+    (target, max_draws)
+}
+
+/// Deduplicates draws in a bitmap over `[lo, hi)` and emits the keys in
+/// order by scanning it: no hash table, no sort. Meant for dense domains,
+/// where the bitmap is at most `8·n` bytes.
+fn dedup_dense(gen: &mut KeyGenerator, n: usize) -> Vec<u64> {
+    let (target, max_draws) = draw_budget(gen, n);
+    let (lo, hi) = gen.range();
+    let mut bits = vec![0u64; (hi - lo).div_ceil(64) as usize];
+    let (mut found, mut draws) = (0u64, 0u64);
+    while found < target && draws < max_draws {
+        let offset = gen.next_key() - lo;
+        let word = &mut bits[(offset / 64) as usize];
+        let mask = 1u64 << (offset % 64);
+        found += u64::from(*word & mask == 0);
+        *word |= mask;
+        draws += 1;
     }
+    let mut keys = Vec::with_capacity(found as usize);
+    for (i, &word) in bits.iter().enumerate() {
+        let base = lo + 64 * i as u64;
+        let mut rest = word;
+        while rest != 0 {
+            keys.push(base + u64::from(rest.trailing_zeros()));
+            rest &= rest - 1;
+        }
+    }
+    keys
+}
+
+/// Deduplicates draws in a hash set, then sorts. Serves any domain width.
+fn dedup_sparse(gen: &mut KeyGenerator, n: usize) -> Vec<u64> {
+    let (target, max_draws) = draw_budget(gen, n);
+    let mut set = std::collections::HashSet::with_capacity(target as usize);
+    let mut draws = 0u64;
+    while (set.len() as u64) < target && draws < max_draws {
+        set.insert(gen.next_key());
+        draws += 1;
+    }
+    let mut keys: Vec<u64> = set.into_iter().collect();
+    keys.sort_unstable();
+    keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keygen::CANONICAL_DISTRIBUTIONS;
+    use proptest::prelude::*;
+
+    /// Runs both deduplication paths on the same draws.
+    fn both_paths(
+        dist: KeyDistribution,
+        lo: u64,
+        span: u64,
+        n: usize,
+        seed: u64,
+    ) -> (Dataset, Dataset) {
+        let gen = || KeyGenerator::new(dist.clone(), lo, lo + span, seed).unwrap();
+        (
+            Dataset::from_sorted_unique(dedup_dense(&mut gen(), n)),
+            Dataset::from_sorted_unique(dedup_sparse(&mut gen(), n)),
+        )
+    }
+
+    /// Every canonical distribution at its default parameters, plus a Zipf
+    /// skewed enough to hit the draw cap.
+    fn distribution(pick: usize) -> KeyDistribution {
+        match CANONICAL_DISTRIBUTIONS.get(pick) {
+            Some((name, _)) => KeyDistribution::from_canonical(name).unwrap(),
+            None => KeyDistribution::Zipf { theta: 2.0 },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dense_and_sparse_dedup_agree(
+            pick in 0usize..CANONICAL_DISTRIBUTIONS.len() + 1,
+            seed in any::<u64>(),
+            n in 1usize..1500,
+            span_kind in 0u8..4,
+            span_raw in any::<u64>(),
+            near_max in any::<bool>(),
+            lo_raw in 0u64..1000,
+        ) {
+            let n64 = 64 * n as u64;
+            let span = match span_kind {
+                0 => 1 + span_raw % n as u64, // exhausts the domain
+                1 => n64,
+                2 => n64 + 1,
+                _ => 1 + span_raw % (n64 + 64), // any residue mod 64
+            };
+            let lo = if near_max { u64::MAX - span - lo_raw } else { lo_raw };
+            let (dense, sparse) = both_paths(distribution(pick), lo, span, n, seed);
+            prop_assert_eq!(dense, sparse, "dist {} lo {} span {} n {}", pick, lo, span, n);
+        }
+    }
+
+    #[test]
+    fn boundary_cases_select_and_agree() {
+        let n = 1000usize;
+        let n64 = 64 * n as u64;
+        // (span, dense?)
+        for (span, dense) in [
+            (1, true),
+            (n as u64 - 1, true),
+            (10 * n as u64, true), // read-archive's ratio
+            (25 * n as u64, true), // write-drift's
+            (n64 - 1, true),
+            (n64, true),
+            (n64 + 1, false),
+            (100 * n as u64, false), // openloop-capacity's
+        ] {
+            assert_eq!(is_dense(span, n), dense, "span {span}");
+            for lo in [0, 7, u64::MAX - span] {
+                let (d, s) = both_paths(KeyDistribution::Uniform, lo, span, n, 3);
+                assert_eq!(d, s, "span {span} lo {lo}");
+                assert_eq!(d.len() as u64, span.min(n as u64));
+            }
+        }
+        assert!(!is_dense(1, 0), "an empty request never allocates a bitmap");
+        assert!(
+            !is_dense(u64::MAX, 1_000_000),
+            "full-width domains stay sparse"
+        );
+    }
 
     #[test]
     fn generate_sorted_unique() {
@@ -203,10 +304,15 @@ mod tests {
 
     #[test]
     fn skewed_generation_terminates() {
-        // zipf(2.0) concentrates on few keys; the draw bound must kick in.
-        let d =
-            Dataset::generate(KeyDistribution::Zipf { theta: 2.0 }, 0, 10_000, 5_000, 1).unwrap();
-        assert!(!d.is_empty());
+        // zipf(2.0) concentrates on few keys; the draw bound must kick in,
+        // at the same draw on both paths.
+        let (dense, sparse) = both_paths(KeyDistribution::Zipf { theta: 2.0 }, 0, 10_000, 5_000, 1);
+        assert_eq!(dense, sparse);
+        assert!(!dense.is_empty() && dense.len() < 5_000, "{}", dense.len());
+        assert_eq!(
+            Dataset::generate(KeyDistribution::Zipf { theta: 2.0 }, 0, 10_000, 5_000, 1).unwrap(),
+            dense
+        );
     }
 
     #[test]
@@ -255,60 +361,5 @@ mod tests {
         assert!(d.sample_f64(10).is_empty());
         let d = Dataset::from_keys(vec![5]);
         assert_eq!(d.sample_f64(10), vec![5.0]);
-    }
-
-    #[test]
-    fn drift_zero_keeps_distribution() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 100_000, 1000, 3).unwrap();
-        let drifted = d
-            .drift_towards(KeyDistribution::Zipf { theta: 1.5 }, 0, 100_000, 0.0, 4)
-            .unwrap();
-        assert_eq!(drifted.len(), d.len());
-        assert_eq!(drifted.keys(), d.keys());
-    }
-
-    #[test]
-    fn drift_full_changes_distribution() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 1_000_000, 2000, 5).unwrap();
-        let drifted = d
-            .drift_towards(
-                KeyDistribution::Normal {
-                    center: 0.1,
-                    std_frac: 0.02,
-                },
-                0,
-                1_000_000,
-                1.0,
-                6,
-            )
-            .unwrap();
-        // Nearly all drifted keys should sit near 10% of the range.
-        let near = drifted.keys().iter().filter(|&&k| k < 200_000).count();
-        assert!(
-            near as f64 / drifted.len() as f64 > 0.95,
-            "near = {near}/{}",
-            drifted.len()
-        );
-    }
-
-    #[test]
-    fn drift_half_is_a_mixture() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 1_000_000, 2000, 7).unwrap();
-        let drifted = d
-            .drift_towards(
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.01,
-                },
-                0,
-                1_000_000,
-                0.5,
-                8,
-            )
-            .unwrap();
-        let high = drifted.keys().iter().filter(|&&k| k > 800_000).count();
-        let frac = high as f64 / drifted.len() as f64;
-        // ~50% target mass near 0.9 plus ~10% of the uniform half.
-        assert!((0.4..0.75).contains(&frac), "frac = {frac}");
     }
 }

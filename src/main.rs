@@ -642,7 +642,7 @@ fn report_outcome(
                     .unwrap_or(f64::NAN)
             };
             println!(
-                "[wall] {:.3}s elapsed, {:.0} ops/s, p50 {:.4}ms p99 {:.4}ms (host clock)",
+                "[wall] {:.3}s elapsed, {:.0} ops/s, batch p50 {:.4}ms p99 {:.4}ms (host clock)",
                 wall.elapsed_seconds,
                 wall.throughput,
                 q(0.50),

@@ -11,13 +11,14 @@
 //!    worker-count invariant.
 
 use lsbench::core::driver::{run_kv_scenario, DriverConfig};
-use lsbench::core::obs::ObsConfig;
+use lsbench::core::obs::{ObsConfig, SpanNode};
 use lsbench::core::record::RunRecord;
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, RunOutcome, Runner};
-use lsbench::core::scenario::Scenario;
+use lsbench::core::scenario::{ArrivalSpec, Scenario};
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::BenchError;
 use lsbench::sut::kv::{RetrainPolicy, RmiSut};
+use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench::workload::dataset::Dataset;
 use lsbench::workload::keygen::KeyDistribution;
 
@@ -198,4 +199,44 @@ fn registry_resolves_runner_factories() {
     assert_records_identical(&via_registry.record, &via_closure.record);
     assert!(registry.contains("btree"));
     assert!(!registry.contains("no-such-sut"));
+}
+
+#[test]
+fn dataset_generation_has_its_own_span_in_every_factory_mode() {
+    // `bulk-load` = `dataset` (generation) + SUT build; the child span lets
+    // `--trace` tell the two apart.
+    let mut s = scenario();
+    s.arrival = Some(ArrivalSpec {
+        process: ArrivalProcess::Poisson { rate: 50_000.0 },
+        modulation: LoadModulation::Constant,
+        seed: 9,
+    });
+    for mode in [
+        ExecutionMode::Serial,
+        ExecutionMode::SharedLock { workers: 2 },
+        ExecutionMode::Sharded { workers: 2 },
+        ExecutionMode::OpenLoop {
+            clients: 8,
+            workers: 2,
+        },
+    ] {
+        let outcome = Runner::from_factory(factory)
+            .config(RunOptions {
+                obs: ObsConfig::traced(),
+                ..RunOptions::with_mode(mode)
+            })
+            .run(&s)
+            .expect("run succeeds");
+        let bulk_load: &SpanNode = outcome
+            .spans
+            .iter()
+            .find(|n| n.name == "bulk-load")
+            .unwrap_or_else(|| panic!("{mode:?}: no bulk-load span"));
+        let dataset = bulk_load
+            .children
+            .iter()
+            .find(|n| n.name == "dataset")
+            .unwrap_or_else(|| panic!("{mode:?}: no dataset span under bulk-load"));
+        assert!(dataset.wall_s > 0.0 && dataset.wall_s <= bulk_load.wall_s);
+    }
 }
